@@ -7,10 +7,12 @@
 //! hammers `/query/headline` to measure query latency under a folded
 //! aggregate. Writes `BENCH_service.json` at the workspace root and acts
 //! as its own regression guard: the service path must sustain at least
-//! 500 ingested users/s (the committed baseline is far above), stay
-//! within 40× of the direct in-process fold (serialization + TCP + parse
-//! is real work, but not *that* much work), and answer headline queries
-//! under 50 ms at p99.
+//! half the committed ingest rate, stay within twice the committed wire
+//! overhead over the direct in-process fold, and answer headline queries
+//! under 50 ms at p99. Both ingest gates sit below what the JSON wire
+//! path measured before it stopped building a value tree per report
+//! (about 6,500 users/s at 9–12× the direct fold on a 2-core host), so
+//! falling back to it fails the bench.
 
 use criterion::black_box;
 use mvqoe_metrics::SharedRegistry;
@@ -19,6 +21,13 @@ use mvqoe_telemetryd::{run_fleet_loadgen, ServiceState, TelemetryServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
+
+/// Ingest floor: half the `ingest_users_per_sec` committed with this gate
+/// (15,631).
+const MIN_USERS_PER_SEC: f64 = 7_800.0;
+/// Wire-overhead ceiling: about twice the `wire_over_direct` committed
+/// with this gate (4.80).
+const MAX_WIRE_OVER_DIRECT: f64 = 10.0;
 
 fn cfg(users: u32) -> FleetConfig {
     // Same shape as BENCH_fleet: ~47 simulated seconds per user, so the
@@ -128,16 +137,17 @@ fn main() {
     // Regression guards (skipped in --test mode: debug codegen makes
     // wall-clock meaningless).
     if !test_mode {
-        if users_per_sec < 500.0 {
+        if users_per_sec < MIN_USERS_PER_SEC {
             eprintln!(
-                "REGRESSION: service ingest {users_per_sec:.0} users/s below the 500 users/s floor"
+                "REGRESSION: service ingest {users_per_sec:.0} users/s below the \
+                 {MIN_USERS_PER_SEC:.0} users/s floor"
             );
             std::process::exit(1);
         }
-        if overhead > 40.0 {
+        if overhead > MAX_WIRE_OVER_DIRECT {
             eprintln!(
                 "REGRESSION: service wire overhead {overhead:.2}x over the direct fold \
-                 (limit 40x)"
+                 (limit {MAX_WIRE_OVER_DIRECT}x)"
             );
             std::process::exit(1);
         }

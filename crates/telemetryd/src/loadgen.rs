@@ -15,10 +15,6 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::ops::Range;
 
-fn io_err(e: impl ToString) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::Other, e.to_string())
-}
-
 /// Open an ingest connection, run `upload` against its buffered write
 /// half, then half-close and wait for the server's [`IngestAck`] line.
 fn with_ingest_stream(
@@ -36,15 +32,16 @@ fn with_ingest_stream(
     stream.shutdown(Shutdown::Write)?;
     let mut ack_line = String::new();
     BufReader::new(&stream).read_line(&mut ack_line)?;
-    serde_json::from_str(ack_line.trim_end()).map_err(io_err)
+    Ok(serde_json::from_str(ack_line.trim_end())?)
 }
 
+/// Encode one report line straight into the connection's buffer.
 fn write_report(
     writer: &mut BufWriter<&TcpStream>,
     report: &DeviceReport,
 ) -> std::io::Result<()> {
-    let line = serde_json::to_string(report).map_err(io_err)?;
-    writeln!(writer, "{line}")
+    serde_json::to_writer(&mut *writer, report)?;
+    writer.write_all(b"\n")
 }
 
 /// Simulate fleet users `users` under `cfg` and upload each as a

@@ -12,7 +12,7 @@ use crate::http::{read_request, respond, Request, APPLICATION_JSON, PROMETHEUS_T
 use crate::report::{DeviceReport, IngestAck};
 use crate::state::ServiceState;
 use mvqoe_study::FleetAggregate;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,6 +22,21 @@ use std::thread::JoinHandle;
 /// this many lines (and at EOF), so the per-sample path stays off the
 /// registry lock.
 const INGEST_FLUSH_EVERY: u64 = 1024;
+
+/// Yield the CPU every this many ingest lines. An upload is a CPU-bound
+/// loop that keeps a core busy for its whole length; yielding every ~50 µs
+/// lets query handlers waiting on that core run now rather than at the end
+/// of the scheduler's slice, for a syscall per 64 reports.
+const INGEST_YIELD_EVERY: u64 = 64;
+
+/// Read buffer of an ingest stream: the same 64 KiB the load generator
+/// writes through, so each read syscall carries hundreds of reports.
+const INGEST_BUF: usize = 64 * 1024;
+
+/// Longest ingest line accepted, newline excluded. Reports are ~170 bytes;
+/// a longer line counts as one parse failure and is skipped through its
+/// newline, so no peer can grow the line buffer without bound.
+const MAX_LINE: usize = 1 << 20;
 
 /// A running telemetry service.
 pub struct TelemetryServer {
@@ -107,26 +122,74 @@ fn handle_connection(stream: TcpStream, state: Arc<ServiceState>) {
     let _ = result;
 }
 
+/// What [`read_line_capped`] found.
+#[derive(Debug, PartialEq)]
+enum Line {
+    /// The stream ended.
+    Eof,
+    /// A line of at most [`MAX_LINE`] bytes, newline kept if present.
+    Complete,
+    /// A longer line, already discarded through its newline.
+    Oversize,
+}
+
+/// Read one line into `line` (cleared first), holding at most
+/// `MAX_LINE + 1` bytes of it in memory.
+fn read_line_capped(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<Line> {
+    line.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', line)?;
+    if n == 0 {
+        return Ok(Line::Eof);
+    }
+    if n <= MAX_LINE || line.last() == Some(&b'\n') {
+        return Ok(Line::Complete);
+    }
+    line.clear();
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            break;
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                break;
+            }
+            None => {
+                let n = chunk.len();
+                reader.consume(n);
+            }
+        }
+    }
+    Ok(Line::Oversize)
+}
+
 /// Drain one NDJSON ingest stream, apply every report, and answer with a
-/// one-line [`IngestAck`] once the peer half-closes its write side.
+/// one-line [`IngestAck`] once the peer half-closes its write side. An
+/// oversize, non-UTF-8 or unparsable line counts as one parse failure and
+/// the stream goes on.
 fn handle_ingest(stream: TcpStream, state: &ServiceState) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::with_capacity(INGEST_BUF, stream.try_clone()?);
     let mut ack = IngestAck::default();
     let mut pending_ok = 0u64;
     let mut pending_bad = 0u64;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let applied = serde_json::from_str::<DeviceReport>(line.trim_end())
-            .map_err(|e| e.to_string())
-            .and_then(|report| state.apply(&report));
-        match applied {
+        let report = match read_line_capped(&mut reader, &mut line)? {
+            Line::Eof => break,
+            Line::Oversize => Err(format!("line longer than {MAX_LINE} bytes")),
+            Line::Complete => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => {
+                    serde_json::from_str::<DeviceReport>(text.trim_end()).map_err(|e| e.to_string())
+                }
+                Err(e) => Err(e.to_string()),
+            },
+        };
+        match report.and_then(|report| state.apply(&report)) {
             Ok(folded) => {
                 ack.accepted += 1;
                 ack.folded += folded as u64;
@@ -137,17 +200,21 @@ fn handle_ingest(stream: TcpStream, state: &ServiceState) -> std::io::Result<()>
                 pending_bad += 1;
             }
         }
-        if pending_ok + pending_bad >= INGEST_FLUSH_EVERY {
+        let pending = pending_ok + pending_bad;
+        if pending % INGEST_YIELD_EVERY == 0 {
+            std::thread::yield_now();
+        }
+        if pending >= INGEST_FLUSH_EVERY {
             state.add_ingest(pending_ok, pending_bad);
             pending_ok = 0;
             pending_bad = 0;
         }
     }
     state.add_ingest(pending_ok, pending_bad);
+    let mut body = serde_json::to_string(&ack)?;
+    body.push('\n');
     let mut writer = stream;
-    let body = serde_json::to_string(&ack)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?;
-    writeln!(writer, "{body}")?;
+    writer.write_all(body.as_bytes())?;
     writer.flush()
 }
 
@@ -240,6 +307,54 @@ fn route(writer: &mut impl Write, req: &Request, state: &ServiceState) -> std::i
 }
 
 fn json_body<T: serde::Serialize>(value: &T) -> std::io::Result<String> {
-    serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))
+    Ok(serde_json::to_string(value)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    fn lines(input: Vec<u8>) -> Vec<(Line, usize, usize)> {
+        let mut reader = Cursor::new(input);
+        let mut line = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let kind = read_line_capped(&mut reader, &mut line).unwrap();
+            if kind == Line::Eof {
+                return out;
+            }
+            out.push((kind, line.len(), line.capacity()));
+        }
+    }
+
+    #[test]
+    fn an_oversize_line_is_skipped_in_bounded_memory() {
+        let mut input = vec![b'x'; 8 << 20];
+        input.extend_from_slice(b"\nok\n");
+        let got = lines(input);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].0, Line::Oversize);
+        let capacity = got[0].2;
+        assert!(capacity <= 2 * (MAX_LINE + 1), "buffer grew to {capacity} bytes");
+        assert_eq!((&got[1].0, got[1].1), (&Line::Complete, 3));
+    }
+
+    #[test]
+    fn the_cap_counts_bytes_before_the_newline() {
+        let mut at_cap = vec![b'x'; MAX_LINE];
+        at_cap.push(b'\n');
+        let mut over = vec![b'y'; MAX_LINE + 1];
+        over.push(b'\n');
+        let input = [at_cap, over, b"tail".to_vec()].concat();
+        let got: Vec<(Line, usize)> = lines(input).into_iter().map(|(k, n, _)| (k, n)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Line::Complete, MAX_LINE + 1),
+                (Line::Oversize, 0),
+                (Line::Complete, 4),
+            ]
+        );
+    }
 }

@@ -5,10 +5,11 @@
 use mvqoe_metrics::{prometheus, SharedRegistry};
 use mvqoe_study::{simulate_range, FleetConfig};
 use mvqoe_telemetryd::{
-    run_fleet_loadgen, run_session_loadgen, Headline, ServiceState, TelemetryServer, TopEntry,
+    run_fleet_loadgen, run_session_loadgen, Headline, IngestAck, ServiceState, TelemetryServer,
+    TopEntry,
 };
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 
 /// A fleet small and short enough to simulate twice in a test, with a
 /// cleaning threshold low enough that most devices are kept.
@@ -163,6 +164,85 @@ fn malformed_and_protocol_violating_lines_count_as_parse_failures() {
     assert_eq!(headline.parse_failures_total, 3);
     assert_eq!(headline.recruited, 0);
     server.shutdown();
+}
+
+/// The exact bytes `run_fleet_loadgen` uploads for `users`, captured by a
+/// stand-in server that answers with an empty ack.
+fn capture_upload(cfg: &FleetConfig, users: std::ops::Range<u32>) -> Vec<u8> {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let sink = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut wire = Vec::new();
+        conn.read_to_end(&mut wire).expect("read upload");
+        conn.write_all(b"{\"accepted\":0,\"folded\":0,\"parse_failures\":0}\n")
+            .expect("ack");
+        wire
+    });
+    run_fleet_loadgen(addr, cfg, users).expect("upload");
+    sink.join().expect("sink thread")
+}
+
+fn lines(wire: &[u8]) -> u64 {
+    wire.iter().filter(|&&b| b == b'\n').count() as u64
+}
+
+/// Send `wire` as one ingest stream and return the server's ack.
+fn upload_raw(addr: SocketAddr, wire: &[u8]) -> IngestAck {
+    let stream = TcpStream::connect(addr).expect("connect");
+    (&stream).write_all(wire).expect("write");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut ack = String::new();
+    (&stream).read_to_string(&mut ack).expect("ack");
+    serde_json::from_str(ack.trim_end()).expect("ack JSON")
+}
+
+#[test]
+fn deeply_nested_lines_count_as_parse_failures_and_the_server_survives() {
+    // A million open brackets used to recurse once per byte in the
+    // parser and overflow the connection thread's stack, killing the
+    // whole service. Each is one line under the length cap.
+    let cfg = short_cfg(1);
+    let server = start_server(&cfg, 1);
+    let addr = server.addr();
+    let deep = "[".repeat(1_000_000);
+    let mut wire = Vec::new();
+    for prefix in ["{\"Sample\":", "{\"Sample\":{\"unknown\":"] {
+        wire.extend_from_slice(prefix.as_bytes());
+        wire.extend_from_slice(deep.as_bytes());
+        wire.push(b'\n');
+    }
+    let user = capture_upload(&cfg, 0..1);
+    wire.extend_from_slice(&user);
+    let ack = upload_raw(addr, &wire);
+    assert_eq!(ack.parse_failures, 2);
+    assert_eq!(ack.accepted, lines(&user));
+    assert_eq!(ack.folded, 1);
+
+    let (status, body) = http_get(addr, "/query/headline");
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    let headline: Headline = serde_json::from_str(&body).expect("headline JSON");
+    assert_eq!(headline.parse_failures_total, 2);
+    assert_eq!(json(&server.shutdown()), json(&simulate_range(&cfg, 0..1)));
+}
+
+#[test]
+fn an_oversize_line_is_one_parse_failure_and_the_stream_goes_on() {
+    let cfg = short_cfg(1);
+    let server = start_server(&cfg, 1);
+    // 8 MiB with no newline, then a valid user's upload.
+    let mut wire = b"{".to_vec();
+    wire.resize(8 << 20, b'x');
+    wire.push(b'\n');
+    let user = capture_upload(&cfg, 0..1);
+    wire.extend_from_slice(&user);
+    let ack = upload_raw(server.addr(), &wire);
+    assert_eq!(ack.parse_failures, 1);
+    assert_eq!(ack.accepted, lines(&user));
+    assert_eq!(ack.folded, 1);
+    assert_eq!(json(&server.shutdown()), json(&simulate_range(&cfg, 0..1)));
 }
 
 #[test]
