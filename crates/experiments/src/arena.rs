@@ -1,4 +1,4 @@
-//! `exp-arena`: the joint network + memory pressure competitive ABR arena.
+//! `exp arena`: the joint network + memory pressure competitive ABR arena.
 //!
 //! The paper provisions a dedicated LAN so that memory pressure is the
 //! *only* cause of QoE collapse (§4); this experiment explores the regime
@@ -28,6 +28,7 @@
 //! `results/arena.json` carries the per-regime tables, the paired forks,
 //! and the regime map: `hybrid_wins` lists every regime where the hybrid
 //! strictly beats *both* of its parents (memory-aware and mpc).
+//! [`Arena::validate`] re-derives winners, flags and deltas on every write.
 
 use crate::report;
 use crate::runner;
@@ -235,7 +236,7 @@ pub struct ForkPair {
     pub branches: Vec<ForkBranch>,
 }
 
-/// The `exp-arena` artifact.
+/// The `exp arena` artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Arena {
     /// Devices raced.
@@ -459,6 +460,99 @@ pub fn run(scale: &Scale) -> Arena {
 }
 
 impl Arena {
+    /// The artifact's rules: the declared axes are non-empty and the
+    /// regimes fill their grid; every regime and every fork lists the
+    /// declared policies in order; each regime's winner has the best QoE
+    /// and its `hybrid_beats_parents` flag agrees with the QoE column;
+    /// `hybrid_wins` lists exactly the flagged regimes; there is at least
+    /// one fork, its baseline delta is zero, and every QoE delta
+    /// reproduces from the absolute values. `Err` names the first rule
+    /// broken.
+    pub fn validate(&self) -> Result<(), String> {
+        let axes = [
+            ("policies", &self.policies),
+            ("devices", &self.devices),
+            ("networks", &self.networks),
+            ("memories", &self.memories),
+        ];
+        if let Some((key, _)) = axes.iter().find(|(_, list)| list.is_empty()) {
+            return Err(format!("{key} is empty"));
+        }
+        let grid = self.devices.len() * self.networks.len() * self.memories.len();
+        if self.regimes.len() != grid {
+            return Err(format!(
+                "{} regime(s) but the declared grid has {grid}",
+                self.regimes.len()
+            ));
+        }
+        let mut flagged = Vec::new();
+        for (i, cell) in self.regimes.iter().enumerate() {
+            let policies: Vec<&String> = cell.rows.iter().map(|r| &r.policy).collect();
+            if !policies.iter().copied().eq(&self.policies) {
+                return Err(format!("regime {i} rows {policies:?} != declared policies"));
+            }
+            let qoe_of = |name: &str| {
+                cell.rows
+                    .iter()
+                    .find(|r| r.policy == name && !r.qoe.is_nan())
+                    .map(|r| r.qoe)
+                    .ok_or_else(|| format!("regime {i}: no numeric qoe for {name}"))
+            };
+            let best = cell
+                .rows
+                .iter()
+                .map(|r| r.qoe)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if qoe_of(&cell.winner)? < best {
+                return Err(format!(
+                    "regime {i}: winner {} does not have the best qoe",
+                    cell.winner
+                ));
+            }
+            let hybrid = qoe_of("hybrid")?;
+            let beats = hybrid > qoe_of("memory-aware")? && hybrid > qoe_of("mpc")?;
+            if cell.hybrid_beats_parents != beats {
+                return Err(format!(
+                    "regime {i}: hybrid_beats_parents flag disagrees with the qoe column"
+                ));
+            }
+            if beats {
+                flagged.push(format!("{}/{}/{}", cell.device, cell.network, cell.memory));
+            }
+        }
+        if self.hybrid_wins != flagged {
+            return Err(format!(
+                "hybrid_wins {:?} != flagged regimes {flagged:?}",
+                self.hybrid_wins
+            ));
+        }
+        if self.pairs.is_empty() {
+            return Err("pairs is empty".into());
+        }
+        for (i, pair) in self.pairs.iter().enumerate() {
+            let policies: Vec<&String> = pair.branches.iter().map(|b| &b.policy).collect();
+            if !policies.iter().copied().eq(&self.policies) {
+                return Err(format!(
+                    "pair {i} branches {policies:?} != declared policies"
+                ));
+            }
+            let base = &pair.branches[0];
+            if base.delta.qoe != 0.0 {
+                return Err(format!("pair {i}: baseline delta is not zero"));
+            }
+            if !pair
+                .branches
+                .iter()
+                .all(|b| report::agrees(b.delta.qoe, b.run.qoe - base.run.qoe))
+            {
+                return Err(format!(
+                    "pair {i}: qoe delta disagrees with its absolute values"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Print the regime tables and the regime map.
     pub fn print(&self) {
         report::banner(
@@ -513,8 +607,9 @@ impl Arena {
 mod tests {
     use super::*;
 
-    /// The acceptance bar: byte-identical at any worker count, every
-    /// regime carries all six policies, and paired deltas are exact.
+    /// The acceptance bar: byte-identical at any worker count and the
+    /// artifact passes its own rules (all six policies in every regime,
+    /// exact paired deltas).
     #[test]
     fn artifact_is_byte_identical_at_any_jobs_count() {
         let scale = Scale::quick().runs(1).video_secs(24.0);
@@ -524,26 +619,15 @@ mod tests {
             assert_eq!(serial, parallel, "jobs={jobs} must not change the artifact");
         }
         let data = run(&scale);
+        data.validate().unwrap();
         assert_eq!(data.regimes.len(), 16); // 2 devices × 4 networks × 2 memories
-        for cell in &data.regimes {
-            assert_eq!(cell.rows.len(), POLICIES.len());
-            assert!(POLICIES.contains(&cell.winner.as_str()));
-        }
         assert_eq!(data.pairs.len(), 3); // 3 showcase networks × 1 rep
         for pair in &data.pairs {
-            assert_eq!(pair.branches.len(), POLICIES.len());
-            assert_eq!(pair.branches[0].policy, "throughput");
             let d0 = &pair.branches[0].delta;
             assert_eq!(
-                (d0.rebuffer_s, d0.drop_pct, d0.switches, d0.crashed, d0.qoe),
-                (0.0, 0.0, 0, 0, 0.0)
+                (d0.rebuffer_s, d0.drop_pct, d0.switches, d0.crashed),
+                (0.0, 0.0, 0, 0)
             );
-            for b in &pair.branches {
-                assert!(
-                    (b.delta.qoe - (b.run.qoe - pair.branches[0].run.qoe)).abs() < 1e-9,
-                    "delta must be consistent with absolutes"
-                );
-            }
         }
     }
 }

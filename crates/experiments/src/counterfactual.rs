@@ -1,4 +1,4 @@
-//! `exp-counterfactual`: exact paired counterfactuals via snapshot/fork.
+//! `exp counterfactual`: exact paired counterfactuals via snapshot/fork.
 //!
 //! One §5-style session (Nokia 1, Moderate synthetic pressure, 720p30 —
 //! a cell Table 2 shows crashing) runs a shared prefix, is snapshotted at
@@ -18,6 +18,7 @@
 //! QoE deltas (rebuffer time, frame drops, representation switches,
 //! crash) are *paired* differences: the knob is the only thing that
 //! changed, so no seed-to-seed variance pollutes the comparison.
+//! [`Counterfactual::validate`] checks that pairing on every write.
 
 use crate::report;
 use crate::runner;
@@ -110,7 +111,7 @@ pub struct Pair {
     pub branches: Vec<BranchOutcome>,
 }
 
-/// The `exp-counterfactual` artifact.
+/// The `exp counterfactual` artifact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Counterfactual {
     /// Device under test.
@@ -244,6 +245,46 @@ pub fn run(scale: &Scale) -> Counterfactual {
 }
 
 impl Counterfactual {
+    /// The artifact's rules: at least one fork; every fork carries all
+    /// four branches, the `baseline` first; and every rebuffer and drop
+    /// delta reproduces from the absolute values (deltas are exact
+    /// pairwise differences). `Err` names the first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.pairs.is_empty() {
+            return Err("pairs is empty".into());
+        }
+        for (i, pair) in self.pairs.iter().enumerate() {
+            let n = pair.branches.len();
+            if n < BRANCHES.len() {
+                return Err(format!(
+                    "pair {i} has {n} branch(es), need >= {}",
+                    BRANCHES.len()
+                ));
+            }
+            let base = &pair.branches[0];
+            if base.branch != "baseline" {
+                return Err(format!("pair {i}: branch 0 is not the baseline"));
+            }
+            for b in &pair.branches {
+                for (key, delta, want) in [
+                    (
+                        "rebuffer_s",
+                        b.delta.rebuffer_s,
+                        b.rebuffer_s - base.rebuffer_s,
+                    ),
+                    ("drop_pct", b.delta.drop_pct, b.drop_pct - base.drop_pct),
+                ] {
+                    if !report::agrees(delta, want) {
+                        return Err(format!(
+                            "pair {i}: {key} delta disagrees with its absolute values"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Print the paired-delta table.
     pub fn print(&self) {
         report::banner(
@@ -291,7 +332,7 @@ mod tests {
     use super::*;
 
     /// The acceptance bar: the artifact is byte-identical at any worker
-    /// count, and every fork carries all four policy branches.
+    /// count and passes its own rules.
     #[test]
     fn artifact_is_byte_identical_at_any_jobs_count() {
         let scale = Scale::quick().runs(2);
@@ -301,10 +342,9 @@ mod tests {
             assert_eq!(serial, parallel, "jobs={jobs} must not change the artifact");
         }
         let data = run(&scale);
+        data.validate().unwrap();
         assert_eq!(data.pairs.len(), 2);
         for pair in &data.pairs {
-            assert_eq!(pair.branches.len(), 4);
-            assert_eq!(pair.branches[0].branch, "baseline");
             let b0 = &pair.branches[0].delta;
             assert_eq!((b0.rebuffer_s, b0.drop_pct, b0.switches, b0.crashed), (0.0, 0.0, 0, 0));
         }

@@ -1,11 +1,13 @@
 //! Regenerators for every table and figure in the paper's evaluation.
 //!
-//! Each module reproduces one experiment family; each binary under
-//! `src/bin/` prints the corresponding table/series in a form directly
-//! comparable to the paper and writes machine-readable JSON next to it
-//! (`results/<experiment>.json`). Run `exp-all` to regenerate everything,
-//! or individual binaries (`exp-fig9`, `exp-table4`, …); every binary
-//! accepts `--quick` for a reduced-scale pass.
+//! Each module reproduces one experiment family; the [`registry`] names
+//! them, and its one binary, `exp`, prints each table/series in a form
+//! directly comparable to the paper and writes machine-readable JSON next
+//! to it (`results/<artifact>.json`). Run `exp all` to regenerate
+//! everything, or name experiments (`exp fig9 table4`, …; `exp --list`
+//! shows them all); `--quick` selects a reduced-scale pass. Artifacts
+//! with invariants ([`counterfactual`], [`arena`], [`blame`], [`serve`])
+//! are checked by their type's `validate()` every time they are written.
 //!
 //! | Module | Paper artifacts |
 //! |---|---|

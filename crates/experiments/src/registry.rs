@@ -1,15 +1,16 @@
 //! The experiment registry: one name → runner table for every figure and
-//! table in the paper's evaluation.
+//! table in the paper's evaluation, and the `exp` command line over it.
 //!
 //! Each experiment is an [`Experiment`] implementation that runs at a
 //! [`Scale`], prints its report (banners, paper anchors, telemetry
-//! showcase) and returns its data as a [`serde_json::Value`]. The
-//! `exp-*` binaries are one-line dispatchers through [`cli_main`], so
-//! every binary shares the same CLI surface (`--quick`, `--jobs`,
-//! `--fleet-users`, `--rss-limit-mib`, `--perfetto`, `--metrics`,
-//! `--dense-ticks`, `--profile`, `--list`) and the same artifact plumbing
-//! (`results/<artifact>.json` + `.meta.json` / `.metrics.json`
-//! sidecars). `exp-all` is [`cli_all`] over the same table.
+//! showcase), writes its typed data straight to `results/<artifact>.json`
+//! (plus the `.meta.json` / `.metrics.json` sidecars) and then checks the
+//! data against its type's `validate()` rules, if it has any. [`cli`] is
+//! the whole `exp` binary: `exp <name>...` runs the named experiments,
+//! `exp all` the full pass, `exp --list` prints this table, and every run
+//! shares one flag set (`--quick`, `--jobs`, `--fleet-users`,
+//! `--fleet-hours`, `--rss-limit-mib`, `--perfetto`, `--metrics`,
+//! `--dense-ticks`, `--profile`; see [`Scale::parse`]).
 
 use crate::scale::Scale;
 use crate::{
@@ -18,12 +19,12 @@ use crate::{
 };
 use mvqoe_device::DeviceProfile;
 use mvqoe_video::PlayerKind;
-use serde_json::Value;
+use std::path::Path;
+use std::process::ExitCode;
 
 /// One experiment the repository can regenerate.
 pub trait Experiment: Sync {
-    /// Registry / CLI name (`exp-all --only <name>` style lookups and the
-    /// `--list` table).
+    /// Registry / CLI name (`exp <name>` and the `--list` table).
     fn name(&self) -> &'static str;
 
     /// One-line description of what the experiment reproduces.
@@ -32,14 +33,17 @@ pub trait Experiment: Sync {
     /// Stem of the data artifact, `results/<artifact>.json`.
     fn artifact(&self) -> &'static str;
 
-    /// Whether `exp-all` includes this experiment (Table 1 digests the
+    /// Whether `exp all` includes this experiment (Table 1 digests the
     /// others' outputs, so it runs standalone only).
     fn in_all(&self) -> bool {
         true
     }
 
-    /// Run at `scale`, print the report, and return the artifact data.
-    fn run(&self, scale: &Scale) -> Value;
+    /// Run at `scale`, print the report, write `<dir>/<artifact>.json`
+    /// and its sidecars, then check the written data. `Err` names the
+    /// failed write or the broken rule; the artifact is written either
+    /// way.
+    fn run(&self, scale: &Scale, dir: &Path) -> Result<(), String>;
 }
 
 macro_rules! experiments {
@@ -49,6 +53,7 @@ macro_rules! experiments {
         artifact: $artifact:literal,
         $(in_all: $in_all:literal,)?
         run: |$scale:ident| $body:expr,
+        $(validate: $validate:path,)?
     })*) => {
         $(
             struct $ty;
@@ -68,13 +73,17 @@ macro_rules! experiments {
                         $in_all
                     }
                 )?
-                fn run(&self, $scale: &Scale) -> Value {
-                    $body
+                fn run(&self, $scale: &Scale, dir: &Path) -> Result<(), String> {
+                    let timer = report::MetaTimer::start($scale);
+                    let data = $body;
+                    timer.write(dir, $artifact, &data)?;
+                    let valid: Result<(), String> = Ok(()) $(.and_then(|()| $validate(&data)))?;
+                    valid.map_err(|rule| format!("{}.json: {rule}", $artifact))
                 }
             }
         )*
 
-        /// Every registered experiment, in `exp-all` execution order.
+        /// Every registered experiment, in `exp all` execution order.
         pub fn all() -> &'static [&'static dyn Experiment] {
             static ALL: &[&dyn Experiment] = &[$(&$ty),*];
             ALL
@@ -90,7 +99,7 @@ experiments! {
         run: |scale| {
             let figs = fleet_figs::run(scale);
             figs.print();
-            serde_json::to_value(&figs)
+            figs
         },
     }
     Fig8 {
@@ -101,7 +110,7 @@ experiments! {
             let f = fig8::run(scale);
             f.print();
             telemetry::showcase("fig8", &DeviceProfile::nexus5(), scale);
-            serde_json::to_value(&f)
+            f
         },
     }
     Fig9 {
@@ -120,7 +129,7 @@ experiments! {
             );
             println!("paper: Normal 0/0/0/0; Moderate 40/100/40/100; Critical 100/100/100/100");
             telemetry::showcase("fig9_table2", &DeviceProfile::nokia1(), scale);
-            serde_json::to_value(&grid)
+            grid
         },
     }
     Fig10 {
@@ -130,7 +139,7 @@ experiments! {
         run: |scale| {
             let f = fig10::run(scale);
             f.print();
-            serde_json::to_value(&f)
+            f
         },
     }
     Fig11 {
@@ -149,7 +158,7 @@ experiments! {
             );
             println!("paper: Normal 0/0/0/0; Moderate 10/100/0/100; Critical 100/100/70/100");
             telemetry::showcase("fig11_table3", &DeviceProfile::nexus5(), scale);
-            serde_json::to_value(&grid)
+            grid
         },
     }
     Nexus6p {
@@ -162,7 +171,7 @@ experiments! {
             grid.print_drops(&["Normal", "Moderate", "Critical"]);
             println!("paper: drops only at ≥720p; highest ≈9% at 1080p60");
             telemetry::showcase("nexus6p", &DeviceProfile::nexus6p(), scale);
-            serde_json::to_value(&grid)
+            grid
         },
     }
     Fig12 {
@@ -180,7 +189,7 @@ experiments! {
                 "paper: same trend across genres — low drops at 30 FPS, significant at 60 FPS, \
                  rising with pressure/resolution"
             );
-            serde_json::to_value(&grids)
+            grids
         },
     }
     Table4 {
@@ -191,7 +200,7 @@ experiments! {
             let t = trace_exp::run(scale);
             t.print();
             telemetry::showcase("table4_table5_fig13", &DeviceProfile::nokia1(), scale);
-            serde_json::to_value(&t)
+            t
         },
     }
     Fig14 {
@@ -201,7 +210,7 @@ experiments! {
         run: |scale| {
             let f = session_figs::fig14(scale);
             f.print();
-            serde_json::to_value(&f)
+            f
         },
     }
     Fig15 {
@@ -211,7 +220,7 @@ experiments! {
         run: |scale| {
             let f = session_figs::fig15(scale);
             f.print();
-            serde_json::to_value(&f)
+            f
         },
     }
     Fig16 {
@@ -221,7 +230,7 @@ experiments! {
         run: |scale| {
             let f = session_figs::fig16(scale);
             f.print();
-            serde_json::to_value(&f)
+            f
         },
     }
     Fig17 {
@@ -231,7 +240,7 @@ experiments! {
         run: |scale| {
             let f = session_figs::fig17(scale);
             f.print();
-            serde_json::to_value(&f)
+            f
         },
     }
     Fig18 {
@@ -249,7 +258,7 @@ experiments! {
             println!(
                 "paper: far fewer drops than Firefox, but still significant crashes at high pressure"
             );
-            serde_json::to_value(&grid)
+            grid
         },
     }
     Fig19 {
@@ -265,7 +274,7 @@ experiments! {
                 &["Normal", "Moderate", "Critical"],
             );
             println!("paper: fewer drops than Firefox (smaller footprint), but crashes persist");
-            serde_json::to_value(&grid)
+            grid
         },
     }
     Organic {
@@ -275,7 +284,7 @@ experiments! {
         run: |scale| {
             let c = organic_check::run(scale);
             c.print();
-            serde_json::to_value(&c)
+            c
         },
     }
     AbrAblation {
@@ -285,7 +294,7 @@ experiments! {
         run: |scale| {
             let a = abr_ablation::run(scale);
             a.print();
-            serde_json::to_value(&a)
+            a
         },
     }
     OsAblation {
@@ -295,7 +304,7 @@ experiments! {
         run: |scale| {
             let a = os_ablation::run(scale);
             a.print();
-            serde_json::to_value(&a)
+            a
         },
     }
     Counterfactual {
@@ -306,8 +315,9 @@ experiments! {
         run: |scale| {
             let c = counterfactual::run(scale);
             c.print();
-            serde_json::to_value(&c)
+            c
         },
+        validate: counterfactual::Counterfactual::validate,
     }
     Arena {
         name: "arena",
@@ -317,8 +327,9 @@ experiments! {
         run: |scale| {
             let a = arena::run(scale);
             a.print();
-            serde_json::to_value(&a)
+            a
         },
+        validate: arena::Arena::validate,
     }
     Blame {
         name: "blame",
@@ -328,8 +339,9 @@ experiments! {
         run: |scale| {
             let b = blame::run(scale);
             b.print();
-            serde_json::to_value(&b)
+            b
         },
+        validate: blame::Blame::validate,
     }
     Serve {
         name: "serve",
@@ -339,8 +351,9 @@ experiments! {
         run: |scale| {
             let s = serve::run(scale);
             s.print();
-            serde_json::to_value(&s)
+            s
         },
+        validate: serve::ServeResults::validate,
     }
     Table1 {
         name: "table1",
@@ -350,7 +363,7 @@ experiments! {
         run: |scale| {
             let t = table1::run(scale);
             t.print();
-            serde_json::to_value(&t)
+            t
         },
     }
 }
@@ -360,13 +373,21 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     all().iter().copied().find(|e| e.name() == name)
 }
 
-/// Run one experiment at `scale` and write its artifact (plus the usual
-/// meta/metrics sidecars) through the shared [`report::MetaTimer`] path.
-pub fn run_one(exp: &dyn Experiment, scale: &Scale) -> Value {
-    let timer = report::MetaTimer::start(scale);
-    let value = exp.run(scale);
-    timer.write_json(exp.artifact(), &value);
-    value
+/// Resolve `exp`'s positional arguments to experiments: a registry name,
+/// or `all` for every experiment in the full pass.
+fn select(names: &[String]) -> Result<Vec<&'static dyn Experiment>, String> {
+    if names.is_empty() {
+        return Err("no experiment named".into());
+    }
+    let mut out = Vec::new();
+    for name in names {
+        if name == "all" {
+            out.extend(all().iter().copied().filter(|e| e.in_all()));
+        } else {
+            out.push(find(name).ok_or_else(|| format!("unknown experiment {name:?}"))?);
+        }
+    }
+    Ok(out)
 }
 
 /// Print the registry as a name → artifact table (`--list`).
@@ -382,7 +403,7 @@ pub fn print_list() {
             ]
         })
         .collect();
-    report::print_table(&["name", "artifact", "in exp-all", "reproduces"], &rows);
+    report::print_table(&["name", "artifact", "in all", "reproduces"], &rows);
 }
 
 /// Fail the process if the run exceeded the `--rss-limit-mib` guard rail;
@@ -401,37 +422,54 @@ fn enforce_rss_limit(scale: &Scale) {
     }
 }
 
-/// Entry point for a single-experiment `exp-*` binary: shared CLI parse,
-/// registry dispatch, artifact write, RSS guard.
-pub fn cli_main(name: &str) {
-    if std::env::args().any(|a| a == "--list") {
-        print_list();
-        return;
-    }
-    let scale = Scale::from_args();
-    let exp = find(name).unwrap_or_else(|| panic!("experiment {name:?} is not registered"));
-    run_one(exp, &scale);
-    enforce_rss_limit(&scale);
-}
+const USAGE: &str = "usage: exp [flags] <name>... | exp [flags] all | exp --list
+flags: --quick|-q  --jobs|-j N  --fleet-users N  --fleet-hours H  --rss-limit-mib N
+       --perfetto DIR  --metrics  --dense-ticks  --profile";
 
-/// Entry point for `exp-all`: every registry experiment marked for the
-/// full pass, in registry order, with the shared CLI surface.
-pub fn cli_all() {
-    if std::env::args().any(|a| a == "--list") {
+/// The `exp` binary: parse the command line, run the selected experiments
+/// in order, and write each artifact into `results/`. Exits 2 (after
+/// printing usage) on a bad argument, and 1 if any write failed or any
+/// artifact broke one of its rules; every selected experiment still runs.
+pub fn cli() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let list = args.iter().any(|a| a == "--list");
+    args.retain(|a| a != "--list");
+    let parsed = Scale::parse(&args)
+        .and_then(|(scale, names)| Ok((scale, if list { Vec::new() } else { select(&names)? })));
+    let (scale, selected) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("exp: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    if list {
         print_list();
-        return;
+        return ExitCode::SUCCESS;
     }
-    let scale = Scale::from_args();
+    mvqoe_core::set_dense_ticks(scale.dense_ticks);
+    let dir = report::results_dir();
     let t0 = std::time::Instant::now();
-    for exp in all().iter().filter(|e| e.in_all()) {
-        run_one(*exp, &scale);
+    let mut failed = 0;
+    for exp in &selected {
+        if let Err(e) = exp.run(&scale, &dir) {
+            eprintln!("[exp] {} failed: {e}", exp.name());
+            failed += 1;
+        }
     }
     println!(
-        "\nall experiments regenerated in {:.1}s with {} worker thread(s)",
+        "\n{} experiment(s) regenerated in {:.1}s with {} worker thread(s)",
+        selected.len(),
         t0.elapsed().as_secs_f64(),
         scale.jobs
     );
     enforce_rss_limit(&scale);
+    if failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("[exp] {failed} experiment(s) failed");
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
@@ -461,8 +499,25 @@ mod tests {
     }
 
     #[test]
+    fn select_expands_all_and_rejects_unknown_names() {
+        let names = |list: &[&str]| {
+            select(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+                .map(|exps| exps.iter().map(|e| e.name()).collect::<Vec<_>>())
+        };
+        assert_eq!(names(&["blame", "fig8"]).unwrap(), ["blame", "fig8"]);
+        let full = names(&["all"]).unwrap();
+        assert_eq!(full.len(), 17);
+        assert!(!full.contains(&"table1"));
+        assert_eq!(names(&["table1", "all"]).unwrap().len(), 18);
+        assert!(names(&["fig8", "exp-fig8"])
+            .unwrap_err()
+            .contains("\"exp-fig8\""));
+        assert!(names(&[]).is_err());
+    }
+
+    #[test]
     fn exp_all_keeps_its_execution_order() {
-        // The full pass runs in the historical exp-all order; Table 1
+        // The full pass runs in the historical `exp all` order; Table 1
         // digests the others' artifacts, so it stays out of the pass.
         let order: Vec<&str> = all()
             .iter()

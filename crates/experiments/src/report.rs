@@ -6,7 +6,8 @@ use mvqoe_core::WorkerStat;
 use mvqoe_metrics::selfprof::{self, PhaseProfile};
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Print a header banner for an experiment.
@@ -64,21 +65,20 @@ pub fn results_dir() -> PathBuf {
     dir.join("results")
 }
 
-/// Write an experiment's machine-readable result.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
+/// Write `value` as pretty JSON to `<dir>/<name>.json`, creating `dir`
+/// first, and return the path written.
+pub fn write_json<T: Serialize + ?Sized>(dir: &Path, name: &str, value: &T) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if std::fs::write(&path, s).is_ok() {
-                println!("[json] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("[json] failed to serialize {name}: {e}"),
-    }
+    std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
+    println!("[json] {}", path.display());
+    Ok(path)
+}
+
+/// Whether a float reproduces `expected` up to JSON's f64 round trip.
+/// NaN (a `null` in the file) never does.
+pub(crate) fn agrees(value: f64, expected: f64) -> bool {
+    (value - expected).abs() <= 1e-9
 }
 
 /// Run metadata written next to an experiment's data JSON.
@@ -99,6 +99,20 @@ pub struct RunMeta {
     /// per instrumented phase, in `selfprof::PHASES` order. `None` when
     /// profiling was off.
     pub profile: Option<Vec<PhaseProfile>>,
+}
+
+impl RunMeta {
+    /// The sidecar's one rule that its types do not already enforce: a
+    /// profiled run recorded at least one span. An all-zero block means
+    /// the recorder was off or no instrumented phase ran.
+    pub fn validate(&self) -> Result<(), String> {
+        match &self.profile {
+            Some(phases) if phases.iter().all(|p| p.calls == 0) => {
+                Err("profile recorded zero calls across all phases".into())
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Times one experiment and writes its results with a `<name>.meta.json`
@@ -136,13 +150,18 @@ impl MetaTimer {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Write `<name>.json` (the data) plus `<name>.meta.json` (this run's
-    /// wall clock, job count, and per-worker utilization). When the runner
-    /// stashed per-cell metrics snapshots (`--metrics`), they land in a
-    /// third sidecar, `<name>.metrics.json`, keyed by experiment id — the
-    /// data JSON itself never changes.
-    pub fn write_json<T: Serialize>(&self, name: &str, value: &T) {
-        write_json(name, value);
+    /// Write `<dir>/<name>.json` (the data) plus `<name>.meta.json` (this
+    /// run's wall clock, job count, and per-worker utilization), then
+    /// check the sidecar's rule. When the runner stashed per-cell metrics
+    /// snapshots (`--metrics`), they land in a third sidecar,
+    /// `<name>.metrics.json`, keyed by experiment id — the data JSON
+    /// itself never changes. `Err` names the failed write or the rule.
+    pub fn write<T: Serialize + ?Sized>(
+        &self,
+        dir: &Path,
+        name: &str,
+        value: &T,
+    ) -> Result<(), String> {
         let stash = runner::drain_stash();
         let meta = RunMeta {
             jobs: self.jobs,
@@ -152,10 +171,19 @@ impl MetaTimer {
             workers: stash.workers,
             profile: self.profile.then(selfprof::snapshot),
         };
-        write_json(&format!("{name}.meta"), &meta);
+        let failed = |stem: &str| {
+            let path = dir.join(format!("{stem}.json"));
+            move |e: io::Error| format!("cannot write {}: {e}", path.display())
+        };
+        write_json(dir, name, value).map_err(failed(name))?;
+        let meta_name = format!("{name}.meta");
+        write_json(dir, &meta_name, &meta).map_err(failed(&meta_name))?;
         if !stash.metrics.is_empty() {
-            write_json(&format!("{name}.metrics"), &stash.metrics);
+            let metrics_name = format!("{name}.metrics");
+            write_json(dir, &metrics_name, &stash.metrics).map_err(failed(&metrics_name))?;
         }
+        meta.validate()
+            .map_err(|rule| format!("{meta_name}.json: {rule}"))
     }
 }
 
@@ -183,6 +211,15 @@ mod tests {
         assert!(lines[3].contains("longer"));
         // Right-aligned: the short name is padded.
         assert!(lines[2].starts_with("     a"));
+    }
+
+    #[test]
+    fn a_results_path_that_is_a_file_is_an_error() {
+        let file = std::env::temp_dir().join(format!("mvqoe-results-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let err = write_json(&file, "fig8", &[1, 2, 3]);
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.is_err(), "writing under a regular file must fail");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! When `scale.metrics` is set, every grid run also collects a per-cell
 //! [`MetricsSnapshot`] into a process-wide stash, which
-//! [`crate::report::MetaTimer::write_json`] drains into a
+//! [`crate::report::MetaTimer::write`] drains into a
 //! `results/<name>.metrics.json` sidecar. Worker utilization
 //! ([`WorkerStat`]) is stashed unconditionally — it only feeds the meta
 //! sidecar, never the data JSON.

@@ -157,82 +157,85 @@ impl Scale {
         self
     }
 
-    /// Parse from CLI args: `--quick` selects the reduced pass, `--jobs N`
-    /// (or `--jobs=N` / `-j N`) sets the worker-pool size (`--jobs 0` means
-    /// one worker per available CPU), `--fleet-users N` scales the §3
-    /// fleet (rescaling per-user hours to keep the user-hours budget
-    /// unless `--fleet-hours H` pins them), `--rss-limit-mib N` makes the
-    /// run fail if peak RSS exceeds the bound, `--perfetto <dir>` exports
-    /// a showcase trace per experiment, `--metrics` writes per-cell
-    /// metrics snapshot sidecars, `--dense-ticks` disables the
-    /// event-driven time skip (byte-identical outputs, for bisecting), and
-    /// `--profile` records hot-path self-profiling totals into the
-    /// `.meta.json` sidecar.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if args.iter().any(|a| a == "--quick" || a == "-q") {
-            Scale::quick()
-        } else {
-            Scale::full()
-        };
-        if let Some(users) = parse_value(&args, &["--fleet-users"]) {
+    /// Parse the command line (program name excluded) in one pass, last
+    /// occurrence wins: `--quick`/`-q` selects the reduced pass, `--jobs N`
+    /// (or `--jobs=N` / `-j N`) sets the worker-pool size (`0` means one
+    /// worker per available CPU), `--fleet-users N` scales the §3 fleet
+    /// (rescaling per-user hours to keep the user-hours budget unless
+    /// `--fleet-hours H` pins them), `--rss-limit-mib N` makes the run
+    /// fail if peak RSS exceeds the bound, `--perfetto <dir>` exports a
+    /// showcase trace per experiment, `--metrics` writes per-cell metrics
+    /// snapshot sidecars, `--dense-ticks` disables the event-driven time
+    /// skip (byte-identical outputs, for bisecting), and `--profile`
+    /// records hot-path self-profiling totals into the `.meta.json`
+    /// sidecar. Every value flag also takes the `--flag=value` form.
+    ///
+    /// Returns the scale and the positional arguments. An unknown flag, a
+    /// missing or unparsable value, or fleet hours that are not a positive
+    /// number is an error naming the argument.
+    pub fn parse(args: &[String]) -> Result<(Scale, Vec<String>), String> {
+        fn value<T: std::str::FromStr>(flag: &str, raw: Option<&str>) -> Result<T, String> {
+            let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+            raw.parse()
+                .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+        }
+        let (mut quick, mut metrics, mut dense_ticks, mut profile) = (false, false, false, false);
+        let (mut jobs, mut users, mut hours, mut rss, mut perfetto) =
+            (None, None, None, None, None);
+        let mut positional = Vec::new();
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, v)) if flag.starts_with('-') => (flag, Some(v)),
+                _ => (arg.as_str(), None),
+            };
+            let mut raw = || inline.or_else(|| iter.next().map(String::as_str));
+            match flag {
+                "--jobs" | "-j" => jobs = Some(value::<usize>(flag, raw())?),
+                "--fleet-users" => users = Some(value::<u32>(flag, raw())?),
+                "--fleet-hours" => hours = Some(value::<f64>(flag, raw())?),
+                "--rss-limit-mib" => rss = Some(value::<u64>(flag, raw())?),
+                "--perfetto" => perfetto = Some(value::<String>(flag, raw())?),
+                "--quick" | "-q" | "--metrics" | "--dense-ticks" | "--profile"
+                    if inline.is_some() =>
+                {
+                    return Err(format!("{flag} takes no value"));
+                }
+                "--quick" | "-q" => quick = true,
+                "--metrics" => metrics = true,
+                "--dense-ticks" => dense_ticks = true,
+                "--profile" => profile = true,
+                _ if flag.starts_with('-') => return Err(format!("unknown flag {arg}")),
+                _ => positional.push(arg.clone()),
+            }
+        }
+        if let Some(h) = hours.filter(|h: &f64| !(h.is_finite() && *h > 0.0)) {
+            return Err(format!(
+                "--fleet-hours: {h} is not a positive number of hours"
+            ));
+        }
+        let mut scale = (if quick { Scale::quick() } else { Scale::full() })
+            .rss_limit_mib(rss)
+            .perfetto(perfetto)
+            .metrics(metrics)
+            .dense_ticks(dense_ticks)
+            .profile(profile);
+        if let Some(users) = users {
             scale = scale.fleet_users(users);
         }
-        if let Some(hours) = parse_value(&args, &["--fleet-hours"]) {
+        if let Some(hours) = hours {
             scale = scale.fleet_hours(hours);
         }
-        scale.rss_limit_mib = parse_value(&args, &["--rss-limit-mib"]);
-        if let Some(jobs) = parse_value(&args, &["--jobs", "-j"]) {
+        if let Some(jobs) = jobs {
             scale = scale.jobs(jobs);
         }
-        scale.perfetto = parse_flag_value(&args, "--perfetto");
-        scale.metrics = args.iter().any(|a| a == "--metrics");
-        scale.dense_ticks = args.iter().any(|a| a == "--dense-ticks");
-        scale.profile = args.iter().any(|a| a == "--profile");
-        mvqoe_core::set_dense_ticks(scale.dense_ticks);
-        scale
+        Ok((scale, positional))
     }
 
     /// Whether any observability output was requested.
     pub fn telemetry_requested(&self) -> bool {
         self.perfetto.is_some() || self.metrics
     }
-}
-
-/// Extract the string value of `--name <v>` / `--name=<v>` (last wins).
-fn parse_flag_value(args: &[String], name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    let mut out: Option<String> = None;
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if arg == name {
-            out = iter.peek().map(|v| v.to_string());
-        } else if let Some(value) = arg.strip_prefix(&prefix) {
-            out = Some(value.to_string());
-        }
-    }
-    out
-}
-
-/// Extract a parsed value for any spelling in `names` (`--flag N` or
-/// `--flag=N`; the last occurrence of any spelling wins).
-fn parse_value<T: std::str::FromStr>(args: &[String], names: &[&str]) -> Option<T> {
-    let mut out: Option<T> = None;
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        for name in names {
-            if arg == name {
-                if let Some(v) = iter.peek().and_then(|v| v.parse().ok()) {
-                    out = Some(v);
-                }
-            } else if let Some(raw) = arg.strip_prefix(&format!("{name}=")) {
-                if let Ok(v) = raw.parse() {
-                    out = Some(v);
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -259,38 +262,93 @@ mod tests {
         assert!(q.video_secs < f.video_secs);
     }
 
+    fn parse(list: &[&str]) -> Result<(Scale, Vec<String>), String> {
+        Scale::parse(&to_args(list))
+    }
+
     #[test]
-    fn jobs_flag_parses_in_every_form() {
-        let jobs = |args: &[&str]| parse_value::<usize>(&to_args(args), &["--jobs", "-j"]);
-        assert_eq!(jobs(&["exp", "--jobs", "4"]), Some(4));
-        assert_eq!(jobs(&["exp", "--jobs=8", "--quick"]), Some(8));
-        assert_eq!(jobs(&["exp", "-j", "2"]), Some(2));
-        assert_eq!(jobs(&["exp", "--quick"]), None);
-        // Later flags win.
-        assert_eq!(jobs(&["exp", "-j", "2", "--jobs", "6"]), Some(6));
+    fn flags_parse_in_every_form_and_the_last_wins() {
+        // (argv, jobs, quick?, positional names)
+        let table: &[(&[&str], usize, bool, &[&str])] = &[
+            (&["--jobs", "4"], 4, false, &[]),
+            (&["--jobs=8", "--quick"], 8, true, &[]),
+            (&["-j", "2", "fig8"], 2, false, &["fig8"]),
+            (&["-j=3", "-q", "fig8", "fig9"], 3, true, &["fig8", "fig9"]),
+            (&["all", "--quick"], 1, true, &["all"]),
+            (&["fig8", "exp-fig8", "-q"], 1, true, &["fig8", "exp-fig8"]),
+            (&["-j", "2", "--jobs", "6"], 6, false, &[]),
+            (&["--jobs=5", "-j", "7"], 7, false, &[]),
+        ];
+        for &(argv, jobs, quick, names) in table {
+            let (s, pos) = parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            assert_eq!(s.jobs, jobs, "{argv:?}");
+            assert_eq!(
+                s.runs,
+                if quick { Scale::quick() } else { Scale::full() }.runs,
+                "{argv:?}"
+            );
+            assert_eq!(pos, names, "{argv:?}");
+        }
         // --jobs 0 expands to the CPU count (at least one) via the builder.
+        assert!(parse(&["--jobs", "0"]).unwrap().0.jobs >= 1);
         assert!(Scale::quick().jobs(0).jobs >= 1);
     }
 
     #[test]
-    fn perfetto_flag_parses_in_every_form() {
-        assert_eq!(
-            parse_flag_value(&to_args(&["exp", "--perfetto", "out"]), "--perfetto"),
-            Some("out".into())
-        );
-        assert_eq!(
-            parse_flag_value(&to_args(&["exp", "--perfetto=traces", "--quick"]), "--perfetto"),
-            Some("traces".into())
-        );
-        assert_eq!(parse_flag_value(&to_args(&["exp", "--quick"]), "--perfetto"), None);
+    fn bad_arguments_are_errors_naming_the_argument() {
+        let table: &[(&[&str], &str)] = &[
+            (&["--jobs", "banana"], "--jobs"),
+            (&["-j"], "-j needs a value"),
+            (&["fig8", "--jobs"], "--jobs needs a value"),
+            (&["--jobs=-1"], "--jobs"),
+            (&["--quik"], "unknown flag --quik"),
+            (&["--quick=yes"], "--quick takes no value"),
+            (&["--fleet-users", "1e3"], "--fleet-users"),
+            (&["--fleet-hours"], "--fleet-hours needs a value"),
+            (
+                &["--fleet-hours", "-5"],
+                "--fleet-hours: -5 is not a positive",
+            ),
+            (
+                &["--fleet-hours=nan"],
+                "--fleet-hours: NaN is not a positive",
+            ),
+            (&["--fleet-hours=0"], "--fleet-hours: 0 is not a positive"),
+            (&["--rss-limit-mib=lots"], "--rss-limit-mib"),
+            (&["--perfetto"], "--perfetto needs a value"),
+            (&["--require-profile"], "unknown flag --require-profile"),
+        ];
+        for &(argv, msg) in table {
+            let err = parse(argv).expect_err(&format!("{argv:?} must be rejected"));
+            assert!(err.contains(msg), "{argv:?}: {err:?} does not name {msg:?}");
+        }
     }
 
     #[test]
-    fn fleet_flags_parse() {
-        let args = to_args(&["exp", "--fleet-users", "200000", "--rss-limit-mib=512"]);
-        assert_eq!(parse_value::<u32>(&args, &["--fleet-users"]), Some(200_000));
-        assert_eq!(parse_value::<u64>(&args, &["--rss-limit-mib"]), Some(512));
-        assert_eq!(parse_value::<f64>(&args, &["--fleet-hours"]), None);
+    fn perfetto_flag_parses_in_every_form() {
+        let dir = |argv: &[&str]| parse(argv).unwrap().0.perfetto;
+        assert_eq!(dir(&["--perfetto", "out"]), Some("out".into()));
+        assert_eq!(
+            dir(&["--perfetto=traces", "--quick"]),
+            Some("traces".into())
+        );
+        assert_eq!(dir(&["--quick"]), None);
+    }
+
+    #[test]
+    fn fleet_flags_parse_in_either_order() {
+        let (s, _) = parse(&["--fleet-users", "200000", "--rss-limit-mib=512"]).unwrap();
+        assert_eq!(s.fleet_users, 200_000);
+        assert_eq!(s.rss_limit_mib, Some(512));
+        assert_eq!(
+            s.fleet_hours,
+            Scale::full().fleet_users(200_000).fleet_hours
+        );
+        // An explicit --fleet-hours pins the median wherever it appears.
+        let (s, _) = parse(&["--fleet-hours", "2", "--fleet-users=1000"]).unwrap();
+        assert_eq!((s.fleet_users, s.fleet_hours), (1000, 2.0));
+        let (s, _) = parse(&["--metrics", "--dense-ticks", "--profile"]).unwrap();
+        assert!(s.metrics && s.dense_ticks && s.profile);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! (`mvqoe-telemetryd`), drive it with concurrent load-generator
 //! connections replaying the §3 fleet protocol, scrape `/metrics`, and
 //! check the service-folded aggregate byte-identical against the batch
-//! engine's sharded run over the same coordinate-derived seeds.
+//! engine's sharded run over the same coordinate-derived seeds
+//! (`exp serve`; [`ServeResults::validate`] checks the written artifact).
 
 use crate::fleet_figs::{fleet_config, run_fleet_sharded, shard_count};
 use crate::report;
@@ -39,6 +40,44 @@ pub struct ServeResults {
 }
 
 impl ServeResults {
+    /// The artifact's rules: at least one device recruited and no more
+    /// kept than recruited; nothing in flight at shutdown; the ack folded
+    /// every recruited device and accepted at least a `Begin` and an
+    /// `End` per device; the fold equals the batch engine's; and the
+    /// embedded scrape is valid Prometheus text exposition. `Err` names
+    /// the first rule broken.
+    pub fn validate(&self) -> Result<(), String> {
+        let recruited = u64::from(self.headline.recruited);
+        let (kept, ack) = (self.headline.kept, &self.ack);
+        if recruited == 0 {
+            return Err("no devices recruited".into());
+        }
+        if kept > recruited {
+            return Err(format!("kept {kept} exceeds recruited {recruited}"));
+        }
+        if self.headline.devices_in_flight != 0 {
+            return Err("observations still in flight at shutdown".into());
+        }
+        if ack.folded != recruited {
+            return Err(format!(
+                "ack folded {} devices but headline recruited {recruited}",
+                ack.folded
+            ));
+        }
+        if ack.accepted < ack.folded.saturating_mul(2) {
+            return Err(format!(
+                "accepted {} reports cannot cover {} folded device(s)",
+                ack.accepted, ack.folded
+            ));
+        }
+        if !self.equivalent_to_batch {
+            return Err("service fold is not batch-equivalent".into());
+        }
+        prometheus::validate(&self.scrape)
+            .map(drop)
+            .map_err(|e| format!("scrape is not valid exposition: {e}"))
+    }
+
     /// Print the service-run report.
     pub fn print(&self) {
         report::banner(
@@ -87,7 +126,7 @@ impl ServeResults {
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect to own service");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: exp-serve\r\n\r\n").expect("send request");
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("a complete response");

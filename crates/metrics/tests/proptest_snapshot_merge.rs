@@ -7,7 +7,8 @@
 //! kill counts, microsecond latencies), matching what devices actually
 //! upload; sums of such values stay far below 2^53, so f64 addition is
 //! exact and the merge algebra (counter add, gauge max, bucket-wise
-//! histogram add) is genuinely order-insensitive down to the byte.
+//! histogram add) is genuinely order-insensitive down to the byte, and
+//! every histogram's bucket counts keep summing to its `count`.
 
 use mvqoe_metrics::{prometheus, MetricsRegistry, MetricsSnapshot};
 use proptest::prelude::*;
@@ -79,6 +80,14 @@ proptest! {
         }
 
         prop_assert_eq!(&folded, &serial, "snapshot must be interleaving-invariant");
+        // Every histogram's buckets account for every observation, both
+        // fresh from `snapshot` and after any sequence of merges.
+        for snap in devices.iter().chain(&shards).chain([&serial]) {
+            for (name, h) in &snap.histograms {
+                let bucket_sum: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
+                prop_assert_eq!(bucket_sum, h.count, "{}: bucket sum != count", name);
+            }
+        }
         let folded_text = prometheus::encode(&folded);
         let serial_text = prometheus::encode(&serial);
         prop_assert_eq!(&folded_text, &serial_text, "exposition must be byte-identical");

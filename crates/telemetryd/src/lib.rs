@@ -19,7 +19,7 @@
 //! The aggregate's merge algebra is associative and order-insensitive over
 //! disjoint device sets, so the service's final aggregate is byte-identical
 //! to the batch engine's — the invariant `tests/service.rs` and the
-//! `exp-serve` experiment pin.
+//! `exp serve` experiment pin.
 //!
 //! Everything is `std`-only (`std::net` + worker threads, hand-rolled
 //! HTTP/1.1): the build environment is offline, and the load — a few

@@ -113,7 +113,7 @@ mod tests {
         // The *throughput* deficit alone contributes a mid-single-digit
         // floor; frame-cost jitter, render deadlines and fault stalls lift
         // the full-system figure to the paper's ≈19% (verified end-to-end
-        // by the workspace integration tests and exp-fig9).
+        // by the workspace integration tests and `exp fig9`).
         let drop = 1.0 - budget / cost;
         assert!(
             (0.02..=0.15).contains(&drop),
